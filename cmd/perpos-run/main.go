@@ -456,7 +456,7 @@ func runChaos(seed int64, ckptDir, scriptPath string, hub *obs.Metrics) error {
 
 	scriptDone := script.Start(ctx, map[string]chaos.Controllable{"wifi": wifiChaos})
 	if err := wait("degradation", func() bool {
-		return provider.Availability() == positioning.TemporarilyUnavailable && s.Supervisor().Degraded()
+		return provider.Availability() == positioning.TemporarilyUnavailable && s.Rules().Degraded()
 	}); err != nil {
 		return err
 	}
@@ -470,7 +470,7 @@ func runChaos(seed int64, ckptDir, scriptPath string, hub *obs.Metrics) error {
 		delivered.Load()-atOutage)
 
 	if err := wait("recovery", func() bool {
-		return provider.Availability() == positioning.Available && !s.Supervisor().Degraded()
+		return provider.Availability() == positioning.Available && !s.Rules().Degraded()
 	}); err != nil {
 		return err
 	}
@@ -644,6 +644,9 @@ func runRules(path string, seed int64, hub *obs.Metrics) error {
 	}
 	eng := s.Rules()
 	eng.OnEvent(func(ev rules.Event) {
+		if rules.IsReroute(ev.Rule) {
+			return // the script reports the reroutes itself
+		}
 		if ev.Reason != "" {
 			fmt.Printf("  rule %-16s %-12s (%s)\n", ev.Rule, ev.Type, ev.Reason)
 			return
@@ -692,7 +695,7 @@ func runRules(path string, seed int64, hub *obs.Metrics) error {
 	hdop.Store(3.0)
 	wifiChaos.Kill(nil)
 	if err := wait("supervisor arbitration", func() bool {
-		return s.Supervisor().Degraded() && !eng.Engaged(swapRule)
+		return s.Rules().Degraded() && !eng.Engaged(swapRule)
 	}); err != nil {
 		return err
 	}
@@ -707,7 +710,7 @@ func runRules(path string, seed int64, hub *obs.Metrics) error {
 	hdop.Store(9.9) // accuracy is still bad when the sensor returns
 	wifiChaos.Heal()
 	if err := wait("re-engagement after the heal", func() bool {
-		return !s.Supervisor().Degraded() && eng.Engaged(swapRule)
+		return !s.Rules().Degraded() && eng.Engaged(swapRule)
 	}); err != nil {
 		return err
 	}
@@ -723,6 +726,9 @@ func runRules(path string, seed int64, hub *obs.Metrics) error {
 
 	_ = s.Stop() // the injected outage leaves expected errors behind
 	for _, st := range eng.Status() {
+		if rules.IsReroute(st.Name) {
+			continue
+		}
 		fmt.Printf("rule %-16s engagements=%d disengagements=%d deferrals=%d rollbacks=%d quarantined=%v\n",
 			st.Name, st.Engagements, st.Disengagements, st.Deferrals, st.Rollbacks, st.Quarantined)
 	}

@@ -24,7 +24,8 @@ type SupervisionDef struct {
 	RecoveryEmissions int `json:"recovery_emissions,omitempty"`
 	// ProbeIntervalMS paces half-open probes (0 = default 500).
 	ProbeIntervalMS int `json:"probe_interval_ms,omitempty"`
-	// SweepMS is the supervisor's evaluation period (0 = default 50).
+	// SweepMS is the supervisor's sweep period, which also paces rule
+	// and reroute evaluation (0 = default 50).
 	SweepMS int `json:"sweep_ms,omitempty"`
 	// Restart bounds source restart-with-backoff.
 	Restart *RestartDef `json:"restart,omitempty"`
@@ -45,7 +46,8 @@ type RestartDef struct {
 // the make connection established; recovery reverses the edit. Rules
 // sharing a break connection are a conflict group; priority (lower
 // first, declaration order on ties) picks which engages when several
-// watches are down at once.
+// watches are down at once. The session's rules engine applies them,
+// ahead of every rule in the pipeline's rules block.
 type RerouteDef struct {
 	Watch    string        `json:"watch"`
 	Break    ConnectionDef `json:"break"`

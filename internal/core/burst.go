@@ -159,9 +159,11 @@ func (b *Burst) flush() {
 	for _, bt := range b.taps {
 		bt.TapBatch(b.events)
 	}
-	// Keep the buffer's capacity for the next run. Entries are not
-	// zeroed: samples only hold pooled or immutable payloads whose
-	// lifetime is governed by refcounts, not by this buffer.
+	// Keep the buffer's capacity for the next run, but zero the
+	// entries: a buffered sample holds its payload, attribute map and
+	// span, and on the string-payload path nothing else releases them,
+	// so a stale entry would pin them until overwritten.
+	clear(b.events)
 	b.events = b.events[:0]
 	if b.flushAfter > 0 {
 		b.lastFlush = time.Now()

@@ -1,10 +1,11 @@
 // Package health makes pipelines self-healing: per-node health
 // tracking (error/panic rates fed by the runner, a last-output
 // watchdog fed by graph taps), a circuit breaker that quarantines a
-// persistently failing node, and a Supervisor that reacts to breaker
-// transitions with the paper's own adaptation machinery — PSL graph
-// manipulation that degrades a fused pipeline to its surviving branch
-// and restores the full graph on recovery.
+// persistently failing node, and a Supervisor that sweeps the breakers
+// on a clock. Breaker states feed the paper's own adaptation machinery:
+// declared Reroutes, which the rules engine compiles into PSL graph
+// edits that degrade a fused pipeline to its surviving branch and
+// restore the full graph on recovery.
 //
 // The node state machine:
 //
@@ -39,7 +40,7 @@ const (
 	// StateHealthy: the node processes and emits normally.
 	StateHealthy State = iota
 	// StateDown: the breaker is open — the node is quarantined and a
-	// degradation reroute (if configured) is engaged.
+	// degradation reroute watching it (if configured) engages.
 	StateDown
 )
 
@@ -61,8 +62,7 @@ type Event struct {
 	Node string
 	// Up is true for Down→Healthy, false for Healthy→Down.
 	Up bool
-	// Reason explains the transition ("errors", "silence", "recovered",
-	// "reroute-failed", "restore-failed").
+	// Reason explains the transition ("errors", "silence", "recovered").
 	Reason string
 	// Err carries the triggering error, when there is one.
 	Err error

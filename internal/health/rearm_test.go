@@ -1,10 +1,11 @@
-package health
+package health_test
 
 import (
 	"testing"
 	"time"
 
 	"perpos/internal/core"
+	"perpos/internal/health"
 )
 
 // TestWatchdogRearmsAfterProbeRecovery walks the full silence →
@@ -16,31 +17,27 @@ import (
 func TestWatchdogRearmsAfterProbeRecovery(t *testing.T) {
 	g := fusionTestGraph(t)
 	now := t0
-	m := NewMonitor(Policy{
+	m := health.NewMonitor(health.Policy{
 		MaxConsecutiveErrors: 3,
 		Deadlines:            map[string]time.Duration{"wifi": 100 * time.Millisecond},
 		RecoveryEmissions:    1,
 		ProbeInterval:        10 * time.Millisecond,
-	}, WithClock(func() time.Time { return now }))
-	adapter := AdapterFunc(func(edit func(*core.Graph) error) error { return edit(g) })
-	sup := NewSupervisor(m, adapter, []Reroute{{
-		Watch: "wifi",
-		Break: core.Edge{From: "fuse", To: "app", Port: 0},
-		Make:  core.Edge{From: "gps", To: "app", Port: 0},
-	}})
+	}, health.WithClock(func() time.Time { return now }))
+	adapter := health.AdapterFunc(func(edit func(*core.Graph) error) error { return edit(g) })
+	sup, eng := supervise(t, m, adapter, []health.Reroute{{Watch: "wifi", Break: fused, Make: gpsBypass}})
 	var reroutes []bool
 	sup.OnReroute(func(engaged bool) { reroutes = append(reroutes, engaged) })
 
 	// First output arms the watchdog; within the deadline nothing trips.
 	m.Tap("wifi", core.Sample{})
 	sup.Sweep(t0.Add(50 * time.Millisecond))
-	if sup.Degraded() {
+	if eng.Degraded() {
 		t.Fatal("degraded before the deadline elapsed")
 	}
 
 	// Silence past the deadline: trip #1, reroute engaged.
 	sup.Sweep(t0.Add(200 * time.Millisecond))
-	if !sup.Degraded() {
+	if !eng.Degraded() {
 		t.Fatal("not degraded after silence past the deadline")
 	}
 	if hasEdge(g, "fuse", "app") || !hasEdge(g, "gps", "app") {
@@ -60,7 +57,7 @@ func TestWatchdogRearmsAfterProbeRecovery(t *testing.T) {
 
 	// Recovery sweep: breaker closes, reroute disengages.
 	sup.Sweep(t0.Add(230 * time.Millisecond))
-	if sup.Degraded() {
+	if eng.Degraded() {
 		t.Fatal("still degraded after the probe succeeded")
 	}
 	if !hasEdge(g, "fuse", "app") || hasEdge(g, "gps", "app") {
@@ -72,7 +69,7 @@ func TestWatchdogRearmsAfterProbeRecovery(t *testing.T) {
 
 	// The watchdog must still be armed: a second silence trips again.
 	sup.Sweep(t0.Add(400 * time.Millisecond))
-	if !sup.Degraded() {
+	if !eng.Degraded() {
 		t.Fatal("watchdog did not re-arm: second silence left the node healthy")
 	}
 	if hasEdge(g, "fuse", "app") || !hasEdge(g, "gps", "app") {
@@ -82,13 +79,7 @@ func TestWatchdogRearmsAfterProbeRecovery(t *testing.T) {
 	if h.Trips != 2 {
 		t.Errorf("trips = %d, want 2", h.Trips)
 	}
-	want := []bool{true, false, true}
-	if len(reroutes) != len(want) {
+	if want := []bool{true, false, true}; !equalBools(reroutes, want) {
 		t.Fatalf("reroute hook calls = %v, want %v", reroutes, want)
-	}
-	for i := range want {
-		if reroutes[i] != want[i] {
-			t.Fatalf("reroute hook calls = %v, want %v", reroutes, want)
-		}
 	}
 }

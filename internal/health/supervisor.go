@@ -2,7 +2,6 @@ package health
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -28,14 +27,16 @@ func (f AdapterFunc) ApplyEdit(edit func(*core.Graph) error) error { return f(ed
 // routes the pipeline around the failed branch. When the node recovers,
 // the edit is reversed, restoring the full graph.
 //
-// Rules sharing the same Break edge form a conflict group: they are
-// alternative routings of the same spot in the pipeline, so at most one
-// of them is engaged at a time. Within a group the supervisor engages
-// the best applicable rule — lowest Priority first, declaration order
-// breaking ties — and switches rules atomically when breaker states
-// change. That gives multi-failure scenarios a deterministic, ordered
-// fallback: with both fusion branches down, the group's top-priority
-// rule stays engaged rather than two rules fighting over the edge.
+// Reroutes are applied by the rules engine (rules.Config.Reroutes) on
+// the supervisor's sweep, ahead of every declared rule. Reroutes
+// sharing the same Break edge form a conflict group: alternative
+// routings of the same spot in the pipeline, so at most one of them is
+// engaged at a time. Within a group the best applicable reroute —
+// lowest Priority first, declaration order breaking ties — is engaged,
+// and a switch between reroutes is one atomic edit. That gives
+// multi-failure scenarios a deterministic, ordered fallback: with both
+// fusion branches down, the group's top-priority reroute stays engaged
+// rather than two fighting over the edge.
 type Reroute struct {
 	// Watch is the node whose breaker drives this rule.
 	Watch string
@@ -53,20 +54,17 @@ type Reroute struct {
 	Priority int
 }
 
-// Supervisor closes the loop from health monitoring to adaptation: a
-// sweep goroutine periodically advances the monitor's breakers, applies
-// the configured degradation reroutes through the Adapter, and notifies
-// listeners of every transition. Listener callbacks and reroute edits
-// run on the supervisor's own goroutine — never on engine goroutines —
-// so an edit can safely stop and restart the runner.
+// Supervisor runs the monitor's breakers on a clock: a sweep goroutine
+// periodically advances them, notifies listeners of every transition
+// and then runs the OnSweep hooks. The rules engine rides that hook and
+// applies every adaptation edit, the degradation reroutes included.
+// Listener callbacks and hooks run on the supervisor's own goroutine —
+// never on engine goroutines — so an edit can safely stop and restart
+// the runner.
 type Supervisor struct {
-	mon      *Monitor
-	adapter  Adapter
-	reroutes []Reroute
-	groups   [][]int // conflict groups: reroute indexes sharing a Break edge, in declaration order
+	mon *Monitor
 
 	mu        sync.Mutex
-	engaged   map[int]int // group index → engaged reroute index
 	listeners []func(Event)
 	onReroute []func(engaged bool)
 	onSweep   []func(now time.Time)
@@ -75,29 +73,9 @@ type Supervisor struct {
 	done      chan struct{}
 }
 
-// NewSupervisor wires a supervisor over the monitor. adapter may be nil
-// when no reroutes are configured. Every watched node named by a
-// reroute is pre-registered with the monitor, and rules are partitioned
-// into conflict groups by their Break edge.
-func NewSupervisor(mon *Monitor, adapter Adapter, reroutes []Reroute) *Supervisor {
-	s := &Supervisor{
-		mon:      mon,
-		adapter:  adapter,
-		reroutes: reroutes,
-		engaged:  make(map[int]int, len(reroutes)),
-	}
-	byBreak := make(map[core.Edge]int)
-	for i, r := range reroutes {
-		mon.Watch(r.Watch)
-		gi, ok := byBreak[r.Break]
-		if !ok {
-			gi = len(s.groups)
-			byBreak[r.Break] = gi
-			s.groups = append(s.groups, nil)
-		}
-		s.groups[gi] = append(s.groups[gi], i)
-	}
-	return s
+// NewSupervisor wires a supervisor over the monitor.
+func NewSupervisor(mon *Monitor) *Supervisor {
+	return &Supervisor{mon: mon}
 }
 
 // Monitor returns the underlying monitor.
@@ -115,11 +93,11 @@ func (s *Supervisor) OnEvent(fn func(Event)) {
 	s.mu.Unlock()
 }
 
-// OnReroute registers a listener for successful adaptation edits:
-// engaged is true when a rule was engaged or switched, false when the
+// OnReroute registers a listener for reroute edits that landed:
+// engaged is true when a reroute was engaged or switched, false when the
 // pristine graph was restored. Unlike OnEvent it fires only when an
 // edit actually landed, making it the natural seam for counting
-// supervisor churn. Register before Start; callbacks run on the
+// degradation churn. Register before Start; callbacks run on the
 // supervisor goroutine (or the Sweep caller).
 func (s *Supervisor) OnReroute(fn func(engaged bool)) {
 	if fn == nil {
@@ -130,12 +108,23 @@ func (s *Supervisor) OnReroute(fn func(engaged bool)) {
 	s.mu.Unlock()
 }
 
+// Rerouted reports one landed reroute edit to the OnReroute listeners.
+// The controller that applies reroutes calls it from inside a sweep.
+func (s *Supervisor) Rerouted(engaged bool) {
+	s.mu.Lock()
+	hooks := s.onReroute
+	s.mu.Unlock()
+	for _, fn := range hooks {
+		fn(engaged)
+	}
+}
+
 // OnSweep registers a hook that runs at the end of every sweep, after
-// breakers have advanced and reroutes have been reconciled — the seam
-// the rules engine piggybacks on, so rule evaluation always sees the
-// supervisor's claims for the same instant. Hooks run serially on the
-// supervisor goroutine (or the Sweep caller) and may apply edits
-// through the same adapter. Register before Start.
+// breakers have advanced and listeners have been notified — the seam
+// the rules engine rides, so rule evaluation always sees the breaker
+// states of the same instant. Hooks run serially on the supervisor
+// goroutine (or the Sweep caller) and may apply edits. Register before
+// Start.
 func (s *Supervisor) OnSweep(fn func(now time.Time)) {
 	if fn == nil {
 		return
@@ -143,27 +132,6 @@ func (s *Supervisor) OnSweep(fn func(now time.Time)) {
 	s.mu.Lock()
 	s.onSweep = append(s.onSweep, fn)
 	s.mu.Unlock()
-}
-
-// ClaimedEdges appends the Break and Make edges of every reroute that
-// is currently engaged or whose watched node is down — i.e. every edge
-// the supervisor is using, or is about to use, for degradation routing
-// — and returns the extended slice. The rules engine calls this each
-// sweep to keep declarative adaptations off those edges: supervisor
-// edits always win. Pass a reused buffer to avoid allocation; entries
-// may repeat.
-func (s *Supervisor) ClaimedEdges(buf []core.Edge) []core.Edge {
-	s.mu.Lock()
-	for _, ri := range s.engaged {
-		buf = append(buf, s.reroutes[ri].Break, s.reroutes[ri].Make)
-	}
-	s.mu.Unlock()
-	for _, r := range s.reroutes {
-		if h, ok := s.mon.Health(r.Watch); ok && h.State == StateDown {
-			buf = append(buf, r.Break, r.Make)
-		}
-	}
-	return buf
 }
 
 // Start launches the sweep loop. Stop must be called to release it.
@@ -206,17 +174,10 @@ func (s *Supervisor) Stop() {
 }
 
 // Sweep runs one supervision pass at the given time: advance breakers,
-// apply or reverse reroutes for any transitions, notify listeners.
-// Exposed so tests (and synchronous drivers) can supervise without the
-// background goroutine.
+// notify listeners, run the OnSweep hooks. Exposed so tests (and
+// synchronous drivers) can supervise without the background goroutine.
 func (s *Supervisor) Sweep(now time.Time) []Event {
 	events := s.mon.Advance(now)
-	// Reconcile every pass, not only on breaker transitions: an edit
-	// that failed earlier (for example because a rules-engine edit
-	// still held the edge) is retried on the next sweep even when no
-	// breaker moves. When engaged state already matches the desired
-	// state this is a cheap no-op scan.
-	s.reconcile(events)
 	if len(events) > 0 {
 		s.mu.Lock()
 		listeners := make([]func(Event), len(s.listeners))
@@ -236,116 +197,4 @@ func (s *Supervisor) Sweep(now time.Time) []Event {
 		fn(now)
 	}
 	return events
-}
-
-// reconcile drives every conflict group toward its desired rule after a
-// batch of breaker transitions: the first rule by (Priority, declaration
-// order) whose watched node is currently down, or none when all watches
-// are healthy. Each group transition — engage, disengage, or a direct
-// switch between rules — is applied as a single atomic edit. A failed
-// edit annotates the triggering event so listeners see that adaptation
-// did not land; the group is retried on the next sweep.
-func (s *Supervisor) reconcile(events []Event) {
-	if s.adapter == nil {
-		return
-	}
-	for gi, group := range s.groups {
-		want := -1
-		for _, ri := range group {
-			r := s.reroutes[ri]
-			h, ok := s.mon.Health(r.Watch)
-			if !ok || h.State != StateDown {
-				continue
-			}
-			// Strictly-lower priority wins; ties keep the earlier
-			// declaration (group holds indexes in declaration order).
-			if want < 0 || r.Priority < s.reroutes[want].Priority {
-				want = ri
-			}
-		}
-
-		s.mu.Lock()
-		have, engaged := s.engaged[gi]
-		s.mu.Unlock()
-		if !engaged {
-			have = -1
-		}
-		if have == want {
-			continue
-		}
-
-		var edit func(*core.Graph) error
-		switch {
-		case have < 0: // engage want from the pristine graph
-			br, mk := s.reroutes[want].Break, s.reroutes[want].Make
-			edit = func(g *core.Graph) error {
-				if err := g.Disconnect(br.From, br.To, br.Port); err != nil {
-					return err
-				}
-				return g.Connect(mk.From, mk.To, mk.Port)
-			}
-		case want < 0: // disengage have, restoring the broken edge
-			old, br := s.reroutes[have].Make, s.reroutes[have].Break
-			edit = func(g *core.Graph) error {
-				if err := g.Disconnect(old.From, old.To, old.Port); err != nil {
-					return err
-				}
-				return g.Connect(br.From, br.To, br.Port)
-			}
-		default: // switch rules without an intermediate restore
-			old, mk := s.reroutes[have].Make, s.reroutes[want].Make
-			edit = func(g *core.Graph) error {
-				if err := g.Disconnect(old.From, old.To, old.Port); err != nil {
-					return err
-				}
-				return g.Connect(mk.From, mk.To, mk.Port)
-			}
-		}
-
-		if err := s.adapter.ApplyEdit(edit); err != nil {
-			s.annotate(events, group, want >= 0, err)
-			continue
-		}
-		s.mu.Lock()
-		if want < 0 {
-			delete(s.engaged, gi)
-		} else {
-			s.engaged[gi] = want
-		}
-		hooks := make([]func(bool), len(s.onReroute))
-		copy(hooks, s.onReroute)
-		s.mu.Unlock()
-		for _, fn := range hooks {
-			fn(want >= 0)
-		}
-	}
-}
-
-// annotate marks the first event from one of the group's watched nodes
-// with the edit failure, so the listener batch carries the outcome.
-func (s *Supervisor) annotate(events []Event, group []int, engaging bool, err error) {
-	watched := make(map[string]bool, len(group))
-	for _, ri := range group {
-		watched[s.reroutes[ri].Watch] = true
-	}
-	for i := range events {
-		if !watched[events[i].Node] {
-			continue
-		}
-		if engaging {
-			events[i].Reason = "reroute-failed"
-			events[i].Err = fmt.Errorf("health: degrade %q: %w", events[i].Node, err)
-		} else {
-			events[i].Reason = "restore-failed"
-			events[i].Err = fmt.Errorf("health: restore %q: %w", events[i].Node, err)
-		}
-		return
-	}
-}
-
-// Degraded reports whether any reroute is currently engaged.
-func (s *Supervisor) Degraded() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.engaged) > 0
 }

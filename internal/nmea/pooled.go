@@ -167,8 +167,9 @@ func (p *Parsed) DetachPayload() any {
 		return p.rmc
 	case KindGSA:
 		g := p.gsa
-		if g.PRNs != nil {
-			g.PRNs = append(make([]int, 0, len(g.PRNs)), g.PRNs...)
+		g.PRNs = nil // Parse leaves PRNs nil when the sentence lists none
+		if len(p.gsa.PRNs) > 0 {
+			g.PRNs = append(make([]int, 0, len(p.gsa.PRNs)), p.gsa.PRNs...)
 		}
 		return g
 	case KindGSV:

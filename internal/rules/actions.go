@@ -10,14 +10,14 @@ import (
 // Action is a reversible structural edit. Apply and Revert run inside
 // the runtime's pause-edit-resume seam (the graph is stopped), on the
 // supervisor goroutine. Edges declares the action's structural
-// footprint so the engine can keep rules off edges the health
-// supervisor has claimed for degradation routing.
+// footprint so the engine can keep rules off edges a degradation
+// reroute holds.
 type Action interface {
 	// Describe returns a short human-readable summary for events.
 	Describe() string
 	// Edges returns the edges the action disconnects, connects, or
 	// splices. Actions with no structural footprint (feature attach)
-	// return nil and never conflict with supervisor reroutes.
+	// return nil and never conflict with reroutes.
 	Edges() []core.Edge
 	// Apply performs the edit. A failed Apply must leave the graph as
 	// it found it (unwinding any partial work).
@@ -50,7 +50,7 @@ func (a *InsertAction) Describe() string {
 }
 
 // Edges implements Action: the spliced edge plus the two halves it
-// becomes, so a supervisor claim on any of them blocks the rule.
+// becomes, so a reroute's claim on any of them blocks the rule.
 func (a *InsertAction) Edges() []core.Edge {
 	return []core.Edge{
 		{From: a.From, To: a.To, Port: a.Port},
@@ -78,8 +78,8 @@ func (a *InsertAction) Revert(g *core.Graph) error {
 }
 
 // SwapAction breaks one edge and makes another — the §3.3 case study
-// (swap provider slots), reusing the supervisor's Break/Make reroute
-// model.
+// (swap provider slots), and the edit every health.Reroute compiles
+// into.
 type SwapAction struct {
 	Break core.Edge
 	Make  core.Edge
@@ -122,8 +122,7 @@ func (a *SwapAction) Revert(g *core.Graph) error {
 
 // FeatureAction attaches a feature to a node — the §3.2 case study
 // (change power strategy by attaching an energy strategy feature). It
-// has no structural footprint, so it never conflicts with supervisor
-// reroutes.
+// has no structural footprint, so it never conflicts with reroutes.
 type FeatureAction struct {
 	// Target is the node to attach to.
 	Target string

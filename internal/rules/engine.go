@@ -11,14 +11,6 @@ import (
 	"perpos/internal/health"
 )
 
-// EdgeClaimer reports the edges the health supervisor currently has (or
-// wants) engaged for degradation routing. *health.Supervisor implements
-// it; the engine treats every claimed edge as off-limits — supervisor
-// reroutes always win over rules.
-type EdgeClaimer interface {
-	ClaimedEdges(buf []core.Edge) []core.Edge
-}
-
 // EventType classifies a rule lifecycle event.
 type EventType int
 
@@ -27,7 +19,7 @@ const (
 	// EventEngaged: the rule's action was applied.
 	EventEngaged EventType = iota
 	// EventDisengaged: the action was reverted (condition cleared,
-	// supervisor conflict, or preemption — see Reason).
+	// supervisor conflict, or preemption by a group peer — see Reason).
 	EventDisengaged
 	// EventRolledBack: the probation guard tripped and the action was
 	// reverted; the rule is quarantined.
@@ -35,7 +27,7 @@ const (
 	// EventQuarantined: flap damping benched the rule.
 	EventQuarantined
 	// EventDeferred: the rule wanted to engage but was blocked by a
-	// supervisor edge claim or an engaged group peer.
+	// reroute's claim or an engaged group peer.
 	EventDeferred
 	// EventActionFailed: an Apply or Revert edit returned an error.
 	EventActionFailed
@@ -94,6 +86,7 @@ type attrProbe struct {
 // ruleState is the per-rule state machine.
 type ruleState struct {
 	rule      Rule
+	reroute   bool // compiled from a health.Reroute: outranks declared rules
 	when      signalRef
 	clear     signalRef   // valid when rule.ClearWhen != nil
 	guard     signalRef   // valid when rule.Guard != nil
@@ -109,6 +102,7 @@ type ruleState struct {
 	probationUntil time.Time
 	guardBase      float64
 	deferredNow    bool
+	leaving        bool // clear dwell elapsed this sweep; reverted in pass 2
 
 	flapTimes []time.Time // recent transition timestamps within FlapWindow
 
@@ -124,85 +118,120 @@ type Config struct {
 	// Rules is the declarative rule set, evaluated in declaration
 	// order.
 	Rules []Rule
+	// Reroutes are the supervision's degradation reroutes. Each compiles
+	// into an internal rule named "reroute:<watch>": it engages while
+	// the Watch node's breaker is down (signal down:<watch>) by swapping
+	// Break for Make, with no dwell, cooldown or flap damping. Reroutes
+	// sharing a Break edge form one conflict group ordered by Priority,
+	// then declaration order, and every reroute outranks every declared
+	// rule. Requires Monitor.
+	Reroutes []health.Reroute
 	// Adapter applies graph edits (runtime.Session's pause-edit-resume
-	// seam). Required when Rules is non-empty.
+	// seam). Required when Rules or Reroutes is non-empty.
 	Adapter health.Adapter
 	// Monitor supplies per-node health signals (errors:, restarts:,
 	// silence_ms:, …). Optional; without it those signals read as
 	// unknown.
 	Monitor *health.Monitor
-	// Claimer supplies supervisor edge claims for arbitration.
-	// Optional; without it rules never yield to the supervisor.
-	Claimer EdgeClaimer
 	// Availability supplies the provider availability ordinal for the
 	// "availability" signal. Optional.
 	Availability func() float64
 }
 
-// Engine evaluates a rule set against live signals on every supervisor
-// sweep and drives each rule's hysteresis / cooldown / quarantine /
-// probation state machine. All mutation happens on the sweep
-// goroutine; Status and Engaged may be called from anywhere.
+// Engine is the session's one adaptation controller: it evaluates the
+// compiled reroutes and the declared rules against live signals on
+// every supervisor sweep, arbitrates between them, and drives each
+// rule's hysteresis / cooldown / quarantine / probation state machine.
+// Every adaptation edit goes through its adapter. All mutation happens
+// on the sweep goroutine; Status, Engaged and Degraded may be called
+// from anywhere.
 type Engine struct {
 	adapter health.Adapter
 	mon     *health.Monitor
-	claimer EdgeClaimer
 	avail   func() float64
 
 	probes []*attrProbe
 
 	mu        sync.Mutex
-	states    []ruleState
-	groups    [][]int // conflict groups: rule indexes in declaration order
+	states    []ruleState // compiled reroutes first, then declared rules
+	groups    [][]int     // conflict groups: rule indexes in declaration order
 	listeners []func(Event)
 	pending   []Event
-	claimed   []core.Edge // reused per sweep
 	lsnapshot []func(Event)
 }
 
-// New compiles the rule set. Signal references and operators are
-// validated here so a bad rule is a construction error, not a silent
-// no-op at sweep time.
+// New compiles the reroutes and the rule set. Signal references and
+// operators are validated here so a bad rule is a construction error,
+// not a silent no-op at sweep time.
 func New(cfg Config) (*Engine, error) {
-	if len(cfg.Rules) > 0 && cfg.Adapter == nil {
+	if len(cfg.Rules)+len(cfg.Reroutes) > 0 && cfg.Adapter == nil {
 		return nil, errors.New("rules: adapter required")
+	}
+	if len(cfg.Reroutes) > 0 && cfg.Monitor == nil {
+		return nil, errors.New("rules: reroutes need a monitor")
 	}
 	e := &Engine{
 		adapter: cfg.Adapter,
 		mon:     cfg.Monitor,
-		claimer: cfg.Claimer,
 		avail:   cfg.Availability,
+		// Exact capacity: a ruleState is ~0.5 kB and every session
+		// carries one engine.
+		states: make([]ruleState, 0, len(cfg.Reroutes)+len(cfg.Rules)),
 	}
-	groupIdx := make(map[string]int)
+	// Reroutes are keyed by their Break edge, declared rules by their
+	// Group name: the key types differ, so the two never share a group.
+	groupIdx := make(map[any]int)
+	for _, r := range cfg.Reroutes {
+		cfg.Monitor.Watch(r.Watch)
+		st := ruleState{reroute: true, rule: Rule{
+			Name:     reroutePrefix + r.Watch,
+			When:     Condition{Signal: "down:" + r.Watch, Op: OpEQ, Value: 1},
+			Priority: r.Priority,
+			Action:   &SwapAction{Break: r.Break, Make: r.Make},
+		}}
+		if err := e.add(st, r.Break, groupIdx); err != nil {
+			return nil, err
+		}
+	}
 	for i, r := range cfg.Rules {
 		r, err := r.normalize(i)
 		if err != nil {
 			return nil, err
 		}
-		st := ruleState{rule: r, footprint: r.Action.Edges()}
-		if st.when, err = e.compile(r.When); err != nil {
+		if err := e.add(ruleState{rule: r}, r.Group, groupIdx); err != nil {
 			return nil, err
 		}
-		if r.ClearWhen != nil {
-			if st.clear, err = e.compile(*r.ClearWhen); err != nil {
-				return nil, err
-			}
-		}
-		if r.Guard != nil {
-			if st.guard, err = e.compile(r.Guard.Condition); err != nil {
-				return nil, err
-			}
-		}
-		gi, ok := groupIdx[r.Group]
-		if !ok {
-			gi = len(e.groups)
-			groupIdx[r.Group] = gi
-			e.groups = append(e.groups, nil)
-		}
-		e.groups[gi] = append(e.groups[gi], len(e.states))
-		e.states = append(e.states, st)
 	}
 	return e, nil
+}
+
+// add compiles a rule's signals and files it into its conflict group.
+func (e *Engine) add(st ruleState, group any, groupIdx map[any]int) error {
+	r := st.rule
+	var err error
+	st.footprint = r.Action.Edges()
+	if st.when, err = e.compile(r.When); err != nil {
+		return err
+	}
+	if r.ClearWhen != nil {
+		if st.clear, err = e.compile(*r.ClearWhen); err != nil {
+			return err
+		}
+	}
+	if r.Guard != nil {
+		if st.guard, err = e.compile(r.Guard.Condition); err != nil {
+			return err
+		}
+	}
+	gi, ok := groupIdx[group]
+	if !ok {
+		gi = len(e.groups)
+		groupIdx[group] = gi
+		e.groups = append(e.groups, nil)
+	}
+	e.groups[gi] = append(e.groups[gi], len(e.states))
+	e.states = append(e.states, st)
+	return nil
 }
 
 // compile parses a condition's signal and attaches (deduplicating) the
@@ -256,7 +285,31 @@ func (e *Engine) OnEvent(fn func(Event)) {
 	e.mu.Unlock()
 }
 
-// Status snapshots every rule's state, in declaration order.
+// OnReroute registers a listener for reroute edits that landed: engaged
+// is true when a reroute was engaged, including a switch from a group
+// peer, and false when the pristine graph was restored. A switch is one
+// edit and fires once. Callbacks run like OnEvent listeners.
+func (e *Engine) OnReroute(fn func(engaged bool)) {
+	if fn == nil {
+		return
+	}
+	e.OnEvent(func(ev Event) {
+		if !IsReroute(ev.Rule) {
+			return
+		}
+		switch {
+		case ev.Type == EventEngaged:
+			fn(true)
+		case ev.Type == EventDisengaged && ev.Reason != "preempted":
+			// A preempted reroute is the outgoing half of a switch,
+			// reported by the peer's engage.
+			fn(false)
+		}
+	})
+}
+
+// Status snapshots every rule's state: compiled reroutes first, then
+// declared rules, each in declaration order.
 func (e *Engine) Status() []RuleStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -291,22 +344,31 @@ func (e *Engine) Engaged(name string) bool {
 	return false
 }
 
+// Degraded reports whether any reroute is currently engaged.
+func (e *Engine) Degraded() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range e.states {
+		if e.states[i].reroute && e.states[i].engaged {
+			return true
+		}
+	}
+	return false
+}
+
 // Sweep runs one evaluation pass at the given time. Call it from the
-// supervisor's OnSweep hook (after the supervisor has reconciled its
-// own reroutes) or drive it directly in tests. Not re-entrant: one
-// goroutine at a time.
+// supervisor's OnSweep hook (after the breakers have advanced) or drive
+// it directly in tests. Not re-entrant: one goroutine at a time.
 func (e *Engine) Sweep(now time.Time) {
 	e.mu.Lock()
 
-	e.claimed = e.claimed[:0]
-	if e.claimer != nil {
-		e.claimed = e.claimer.ClaimedEdges(e.claimed)
-	}
-
 	// Pass 1: evaluate conditions and run the lifecycle of engaged
-	// rules — supervisor conflicts, probation guards, clear dwell.
+	// rules — reroute claims, probation guards, clear dwell. Reroutes
+	// come first in e.states, so declared rules are checked against the
+	// reroute conditions of this same instant.
 	for i := range e.states {
 		st := &e.states[i]
+		st.leaving = false
 		if st.quarantined && !now.Before(st.quarUntil) {
 			st.quarantined = false
 		}
@@ -317,10 +379,10 @@ func (e *Engine) Sweep(now time.Time) {
 			continue
 		}
 
-		// Supervisor claims the edge → yield immediately. This is not
+		// A reroute claims the edge → yield immediately. This is not
 		// rule churn, so it does not count toward flap damping, and the
 		// usual cooldown still applies before re-engaging.
-		if e.conflicts(st) {
+		if e.claimed(st) {
 			e.revert(st, now, "supervisor-conflict", false)
 			continue
 		}
@@ -344,7 +406,8 @@ func (e *Engine) Sweep(now time.Time) {
 		}
 
 		// Hysteresis: disengage only after the clear condition has
-		// held for the full dwell.
+		// held for the full dwell. The revert itself waits for pass 2,
+		// where a group peer may take the rule's place in the same edit.
 		clear := false
 		if st.rule.ClearWhen != nil {
 			clear = e.holds(&st.clear, *st.rule.ClearWhen, now)
@@ -354,21 +417,19 @@ func (e *Engine) Sweep(now time.Time) {
 			clear = !st.rule.When.compare(v)
 		}
 		e.track(&st.clearSince, clear, now)
-		if !st.clearSince.IsZero() && now.Sub(st.clearSince) >= st.rule.DisengageAfter {
-			if e.revert(st, now, "cleared", true) == nil {
-				st.clearSince = time.Time{}
-			}
-		}
+		st.leaving = !st.clearSince.IsZero() && now.Sub(st.clearSince) >= st.rule.DisengageAfter
 	}
 
 	// Pass 2: engagement, arbitrated per conflict group — lowest
-	// Priority first, declaration order breaking ties, preempting a
-	// higher-priority-number peer already engaged.
+	// Priority first, declaration order breaking ties. A waiting rule
+	// replaces the engaged peer when it outranks it or when the peer is
+	// leaving; otherwise a leaving rule is simply reverted. Reroute
+	// groups come first, so declared rules see this sweep's reroutes.
 	for _, group := range e.groups {
-		engagedIdx := -1
+		cur := -1
 		for _, i := range group {
 			if e.states[i].engaged {
-				engagedIdx = i
+				cur = i
 				break
 			}
 		}
@@ -385,7 +446,7 @@ func (e *Engine) Sweep(now time.Time) {
 				st.deferredNow = false
 				continue
 			}
-			if e.conflicts(st) {
+			if e.claimed(st) {
 				e.defer_(st, now, "supervisor-claim")
 				continue
 			}
@@ -393,21 +454,18 @@ func (e *Engine) Sweep(now time.Time) {
 				best = i
 			}
 		}
-		if best < 0 {
-			continue
-		}
-		st := &e.states[best]
-		if engagedIdx >= 0 {
-			if st.rule.Priority >= e.states[engagedIdx].rule.Priority {
-				e.defer_(st, now, "group-occupied")
-				continue
+		switch {
+		case best < 0:
+			if cur >= 0 && e.states[cur].leaving {
+				e.revert(&e.states[cur], now, "cleared", true)
 			}
-			if e.revert(&e.states[engagedIdx], now, "preempted", true) != nil {
-				continue
-			}
+		case cur < 0:
+			e.engage(&e.states[best], nil, now)
+		case e.states[cur].leaving || e.states[best].rule.Priority < e.states[cur].rule.Priority:
+			e.engage(&e.states[best], &e.states[cur], now)
+		default:
+			e.defer_(&e.states[best], now, "group-occupied")
 		}
-		st.deferredNow = false
-		e.engage(st, now)
 	}
 
 	pending := e.pending
@@ -476,35 +534,76 @@ func (e *Engine) value(ref *signalRef, now time.Time) (float64, bool) {
 			return 0, false
 		}
 		return float64(now.Sub(h.LastOutput).Milliseconds()), true
+	case sigDown:
+		if h.State == health.StateDown {
+			return 1, true
+		}
+		return 0, true
 	}
 	return 0, false
 }
 
-// conflicts reports whether the rule's action footprint intersects the
-// supervisor's claimed edges.
-func (e *Engine) conflicts(st *ruleState) bool {
-	if len(e.claimed) == 0 {
+// claimed reports whether a declared rule's action footprint overlaps
+// a reroute that is engaged or whose watch is down: every reroute
+// outranks every declared rule.
+func (e *Engine) claimed(st *ruleState) bool {
+	if st.reroute {
 		return false
 	}
-	for _, a := range st.footprint {
-		for _, c := range e.claimed {
-			if a == c {
-				return true
+	for i := range e.states {
+		r := &e.states[i]
+		if !r.reroute {
+			break // reroutes come first
+		}
+		if !r.engaged && r.condSince.IsZero() {
+			continue
+		}
+		for _, a := range st.footprint {
+			for _, b := range r.footprint {
+				if a == b {
+					return true
+				}
 			}
 		}
 	}
 	return false
 }
 
-// engage applies the rule's action and opens probation. A failed edit
-// starts the cooldown so a permanently failing action is retried at
-// cooldown cadence, not every sweep.
-func (e *Engine) engage(st *ruleState, now time.Time) {
-	if err := e.adapter.ApplyEdit(st.rule.Action.Apply); err != nil {
+// engage applies the rule's action and opens probation. When a group
+// peer is engaged (out != nil) the peer's Revert and the rule's Apply
+// run in one edit, which unwinds — re-applies the peer — if Apply
+// fails, so a switch never passes through the pristine graph. A failed
+// Apply starts the cooldown so a permanently failing action is retried
+// at cooldown cadence, not every sweep; a failed peer Revert leaves the
+// peer engaged, to be retried next sweep.
+func (e *Engine) engage(st, out *ruleState, now time.Time) {
+	st.deferredNow = false
+	edit := st.rule.Action.Apply
+	var outErr error
+	if out != nil {
+		edit = func(g *core.Graph) error {
+			if outErr = out.rule.Action.Revert(g); outErr != nil {
+				return outErr
+			}
+			if err := st.rule.Action.Apply(g); err != nil {
+				return errors.Join(err, out.rule.Action.Apply(g))
+			}
+			return nil
+		}
+	}
+	if err := e.adapter.ApplyEdit(edit); err != nil {
+		if outErr != nil {
+			out.lastErr = err
+			e.emit(Event{Time: now, Rule: out.rule.Name, Type: EventActionFailed, Reason: "revert", Err: err})
+			return
+		}
 		st.lastErr = err
 		st.cooldownUntil = now.Add(st.rule.Cooldown)
 		e.emit(Event{Time: now, Rule: st.rule.Name, Type: EventActionFailed, Reason: "apply", Err: err})
 		return
+	}
+	if out != nil {
+		e.disengaged(out, now, "preempted", true)
 	}
 	st.engaged = true
 	st.engagements++
@@ -523,14 +622,20 @@ func (e *Engine) engage(st *ruleState, now time.Time) {
 
 // revert undoes an engaged rule's action. On failure the rule stays
 // engaged and the revert is retried next sweep (actions' Revert is
-// idempotent). countFlap marks condition-driven churn; supervisor
-// yields don't count against the rule.
+// idempotent). countFlap marks condition-driven churn; yields to a
+// reroute don't count against the rule.
 func (e *Engine) revert(st *ruleState, now time.Time, reason string, countFlap bool) error {
 	if err := e.adapter.ApplyEdit(st.rule.Action.Revert); err != nil {
 		st.lastErr = err
 		e.emit(Event{Time: now, Rule: st.rule.Name, Type: EventActionFailed, Reason: "revert", Err: err})
 		return err
 	}
+	e.disengaged(st, now, reason, countFlap)
+	return nil
+}
+
+// disengaged records a landed revert and starts the cooldown.
+func (e *Engine) disengaged(st *ruleState, now time.Time, reason string, countFlap bool) {
 	st.engaged = false
 	st.disengagements++
 	st.cooldownUntil = now.Add(st.rule.Cooldown)
@@ -538,12 +643,15 @@ func (e *Engine) revert(st *ruleState, now time.Time, reason string, countFlap b
 	if countFlap {
 		e.transition(st, now)
 	}
-	return nil
 }
 
 // transition records one engage/disengage into the flap window and
-// quarantines the rule when the budget is blown.
+// quarantines the rule when the budget is blown. Reroutes carry no flap
+// damping: they follow their breaker.
 func (e *Engine) transition(st *ruleState, now time.Time) {
+	if st.reroute {
+		return
+	}
 	cutoff := now.Add(-st.rule.FlapWindow)
 	keep := st.flapTimes[:0]
 	for _, t := range st.flapTimes {

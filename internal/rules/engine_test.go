@@ -33,11 +33,78 @@ func (a *fakeAction) Revert(*core.Graph) error {
 // passAdapter runs the edit against a nil graph — fakeAction ignores it.
 var passAdapter = health.AdapterFunc(func(edit func(*core.Graph) error) error { return edit(nil) })
 
-// fakeClaimer returns a fixed claimed-edge set.
-type fakeClaimer struct{ edges []core.Edge }
+// rerouteFixture is a wifi→app graph whose reroute swaps in a gps→app
+// bypass while the wifi breaker (one error trips it) is down.
+type rerouteFixture struct {
+	g       *core.Graph
+	mon     *health.Monitor
+	reroute health.Reroute
+	edits   int
+	fail    bool // every edit fails while set
+}
 
-func (c *fakeClaimer) ClaimedEdges(buf []core.Edge) []core.Edge {
-	return append(buf, c.edges...)
+func newRerouteFixture(t *testing.T) *rerouteFixture {
+	t.Helper()
+	g := core.New()
+	for _, c := range []core.Component{
+		&core.SliceSource{CompID: "gps", Out: core.OutputSpec{Kind: "pos"}},
+		&core.SliceSource{CompID: "wifi", Out: core.OutputSpec{Kind: "pos"}},
+		core.NewSink("app", []core.Kind{"pos"}),
+	} {
+		if _, err := g.Add(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Connect("wifi", "app", 0); err != nil {
+		t.Fatal(err)
+	}
+	return &rerouteFixture{
+		g:   g,
+		mon: health.NewMonitor(health.Policy{MaxConsecutiveErrors: 1}),
+		reroute: health.Reroute{
+			Watch: "wifi",
+			Break: core.Edge{From: "wifi", To: "app", Port: 0},
+			Make:  core.Edge{From: "gps", To: "app", Port: 0},
+		},
+	}
+}
+
+func (f *rerouteFixture) config() Config {
+	return Config{
+		Reroutes: []health.Reroute{f.reroute},
+		Monitor:  f.mon,
+		Adapter: health.AdapterFunc(func(edit func(*core.Graph) error) error {
+			f.edits++
+			if f.fail {
+				return errors.New("blocked")
+			}
+			return edit(f.g)
+		}),
+	}
+}
+
+// trip opens the wifi breaker; heal closes it again.
+func (f *rerouteFixture) trip(now time.Time) {
+	f.mon.NodeResult("wifi", errors.New("boom"))
+	f.mon.Advance(now)
+}
+
+func (f *rerouteFixture) heal(now time.Time) {
+	f.mon.NodeResult("wifi", nil)
+	f.mon.Tap("wifi", core.Sample{})
+	f.mon.Advance(now)
+}
+
+// status returns the named rule's status.
+func status(t *testing.T, e *Engine, name string) RuleStatus {
+	t.Helper()
+	for _, st := range e.Status() {
+		if st.Name == name {
+			return st
+		}
+	}
+	t.Fatalf("no rule %q", name)
+	return RuleStatus{}
 }
 
 // feed pushes an attribute observation into the engine's probes.
@@ -428,7 +495,17 @@ func TestEngineGroupPreemption(t *testing.T) {
 			Action:      actLo,
 		},
 	}
-	e := newTestEngine(t, rs, Config{})
+	var edits int
+	e := newTestEngine(t, rs, Config{Adapter: health.AdapterFunc(func(edit func(*core.Graph) error) error {
+		edits++
+		return edit(nil)
+	})})
+	var preempted bool
+	e.OnEvent(func(ev Event) {
+		if ev.Rule == "hi" && ev.Type == EventDisengaged && ev.Reason == "preempted" {
+			preempted = true
+		}
+	})
 	now := time.Unix(0, 0)
 	// hi engages first (lo's condition not holding yet).
 	feed(e, "n", "hi", 5)
@@ -438,86 +515,187 @@ func TestEngineGroupPreemption(t *testing.T) {
 	if !e.Engaged("hi") {
 		t.Fatal("hi not engaged")
 	}
-	// lo's condition arrives: strictly lower priority number preempts.
+	// lo's condition arrives: strictly lower priority number preempts,
+	// in one edit. The first attempt's Apply fails: the edit unwinds,
+	// re-applying hi, and hi stays engaged.
+	actLo.failApply = errors.New("no")
+	before := edits
 	feed(e, "n", "lo", 5)
 	now = now.Add(2 * time.Millisecond)
 	e.Sweep(now)
 	now = now.Add(2 * time.Millisecond)
 	e.Sweep(now)
-	if e.Engaged("hi") || !e.Engaged("lo") {
-		t.Fatalf("want preemption: hi=%v lo=%v", e.Engaged("hi"), e.Engaged("lo"))
+	if !e.Engaged("hi") || e.Engaged("lo") || preempted {
+		t.Fatalf("after a failed switch: hi=%v lo=%v preempted=%v", e.Engaged("hi"), e.Engaged("lo"), preempted)
 	}
-	if actHi.reverts != 1 {
-		t.Fatalf("hi reverts=%d", actHi.reverts)
+	if edits-before != 1 || actHi.reverts != 1 || actHi.applies != 2 || actLo.applies != 1 {
+		t.Fatalf("failed switch: edits=%d hi reverts=%d applies=%d lo applies=%d, want 1/1/2/1",
+			edits-before, actHi.reverts, actHi.applies, actLo.applies)
+	}
+
+	actLo.failApply = nil
+	before = edits
+	now = now.Add(2 * time.Millisecond)
+	e.Sweep(now)
+	if e.Engaged("hi") || !e.Engaged("lo") || !preempted {
+		t.Fatalf("want preemption: hi=%v lo=%v preempted=%v", e.Engaged("hi"), e.Engaged("lo"), preempted)
+	}
+	if edits-before != 1 || actHi.reverts != 2 {
+		t.Fatalf("switch took %d edits and %d hi reverts, want one edit", edits-before, actHi.reverts)
 	}
 }
 
+// A reroute outranks a declared rule whose action overlaps it: while
+// the watch is down the rule is deferred as supervisor-claim; when the
+// watch goes down under an engaged rule the rule is reverted as
+// supervisor-conflict, which is not counted as a flap and still starts
+// the rule's cooldown.
 func TestEngineSupervisorConflict(t *testing.T) {
-	edge := core.Edge{From: "a", To: "b", Port: 0}
-	act := &fakeAction{edges: []core.Edge{edge}}
-	claimer := &fakeClaimer{}
+	f := newRerouteFixture(t)
+	act := &fakeAction{edges: []core.Edge{f.reroute.Break}}
+	rs := []Rule{{
+		Name:        "r",
+		When:        Condition{Signal: "attr:x", Op: OpGT, Value: 1},
+		EngageAfter: time.Millisecond,
+		Cooldown:    5 * time.Millisecond,
+		// Budget sized so the test's 6 engagements fit exactly; if the 5
+		// reroute-forced reverts also counted, it would quarantine.
+		MaxFlaps:   6,
+		FlapWindow: time.Minute,
+		Action:     act,
+	}}
+	e := newTestEngine(t, rs, f.config())
+	var events []Event
+	e.OnEvent(func(ev Event) {
+		if ev.Rule == "r" {
+			events = append(events, ev)
+		}
+	})
+	now := time.Unix(0, 0)
+
+	// Watch down from the start: the reroute engages, the rule defers.
+	f.trip(now)
+	feed(e, "n", "x", 5)
+	e.Sweep(now)
+	now = now.Add(2 * time.Millisecond)
+	e.Sweep(now)
+	if e.Engaged("r") || act.applies != 0 || !e.Degraded() {
+		t.Fatalf("engaged=%v applies=%d degraded=%v under a down watch", e.Engaged("r"), act.applies, e.Degraded())
+	}
+	if len(events) != 1 || events[0].Type != EventDeferred || events[0].Reason != "supervisor-claim" {
+		t.Fatalf("events = %+v, want one supervisor-claim deferral", events)
+	}
+
+	// Watch recovers: the reroute restores and the rule engages in the
+	// same sweep.
+	now = now.Add(2 * time.Millisecond)
+	f.heal(now)
+	e.Sweep(now)
+	if !e.Engaged("r") || e.Degraded() {
+		t.Fatalf("engaged=%v degraded=%v after the watch recovered", e.Engaged("r"), e.Degraded())
+	}
+
+	// Watch goes down while engaged → immediate yield, not counted as a
+	// flap even when repeated past MaxFlaps; re-engaging waits for the
+	// cooldown.
+	for i := 0; i < 5; i++ {
+		now = now.Add(2 * time.Millisecond)
+		f.trip(now)
+		e.Sweep(now)
+		if e.Engaged("r") || !e.Degraded() {
+			t.Fatalf("round %d: engaged=%v degraded=%v with the watch down", i, e.Engaged("r"), e.Degraded())
+		}
+		if last := events[len(events)-1]; last.Type != EventDisengaged || last.Reason != "supervisor-conflict" {
+			t.Fatalf("round %d: last event %+v, want supervisor-conflict", i, last)
+		}
+		now = now.Add(2 * time.Millisecond)
+		f.heal(now)
+		e.Sweep(now)
+		if e.Engaged("r") {
+			t.Fatalf("round %d: re-engaged inside the cooldown", i)
+		}
+		now = now.Add(4 * time.Millisecond)
+		e.Sweep(now)
+		if !e.Engaged("r") {
+			t.Fatalf("round %d: did not re-engage after the cooldown", i)
+		}
+	}
+	if status(t, e, "r").Quarantined {
+		t.Fatal("reroute yields counted toward flap damping")
+	}
+}
+
+// A reroute claims its edges from the moment its watch is down, before
+// its own edit has landed: a failing reroute edit must not open the
+// edge to a declared rule.
+func TestEngineRerouteClaimsBeforeItEngages(t *testing.T) {
+	f := newRerouteFixture(t)
+	act := &fakeAction{edges: []core.Edge{f.reroute.Make}}
 	rs := []Rule{{
 		Name:        "r",
 		When:        Condition{Signal: "attr:x", Op: OpGT, Value: 1},
 		EngageAfter: time.Millisecond,
 		Cooldown:    time.Millisecond,
-		// Budget sized so the test's 6 engagements fit exactly; if the 5
-		// supervisor-forced reverts also counted, it would quarantine.
-		MaxFlaps:   6,
-		FlapWindow: time.Minute,
-		Action:     act,
+		Action:      act,
 	}}
-	e := newTestEngine(t, rs, Config{Claimer: claimer})
-	var events []Event
-	e.OnEvent(func(ev Event) { events = append(events, ev) })
+	e := newTestEngine(t, rs, f.config())
 	now := time.Unix(0, 0)
 
-	// Supervisor holds the edge from the start: the rule defers, never
-	// engages.
-	claimer.edges = []core.Edge{edge}
+	// Watch down, reroute edit failing: wanted, not engaged — and
+	// still claimed.
+	f.fail = true
+	f.trip(now)
 	feed(e, "n", "x", 5)
 	e.Sweep(now)
 	now = now.Add(2 * time.Millisecond)
 	e.Sweep(now)
-	if e.Engaged("r") || act.applies != 0 {
-		t.Fatal("engaged against a supervisor claim")
+	if e.Degraded() || e.Engaged("r") || act.applies != 0 {
+		t.Fatalf("degraded=%v engaged=%v applies=%d while the reroute edit fails", e.Degraded(), e.Engaged("r"), act.applies)
 	}
-	found := false
-	for _, ev := range events {
-		if ev.Type == EventDeferred && ev.Reason == "supervisor-claim" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no supervisor-claim deferral in %v", events)
+	if st := status(t, e, "r"); st.Deferrals != 1 {
+		t.Fatalf("deferrals = %d, want 1", st.Deferrals)
 	}
 
-	// Claim released → rule engages.
-	claimer.edges = nil
+	// The edit lands on retry; the engaged reroute keeps the claim.
+	f.fail = false
 	now = now.Add(2 * time.Millisecond)
 	e.Sweep(now)
-	if !e.Engaged("r") {
-		t.Fatal("did not engage after claim release")
+	if !e.Degraded() || e.Engaged("r") {
+		t.Fatalf("degraded=%v engaged=%v after the reroute edit landed", e.Degraded(), e.Engaged("r"))
 	}
 
-	// Claim returns while engaged → immediate yield, not counted as a
-	// flap even when repeated past MaxFlaps.
-	for i := 0; i < 5; i++ {
-		claimer.edges = []core.Edge{edge}
-		now = now.Add(2 * time.Millisecond)
-		e.Sweep(now)
-		if e.Engaged("r") {
-			t.Fatal("still engaged under supervisor claim")
-		}
-		claimer.edges = nil
-		now = now.Add(2 * time.Millisecond)
-		e.Sweep(now)
-		if !e.Engaged("r") {
-			t.Fatalf("round %d: did not re-engage", i)
-		}
+	// Recovery releases the claim.
+	now = now.Add(2 * time.Millisecond)
+	f.heal(now)
+	e.Sweep(now)
+	if e.Degraded() || !e.Engaged("r") {
+		t.Fatalf("degraded=%v engaged=%v after recovery", e.Degraded(), e.Engaged("r"))
 	}
-	if e.Status()[0].Quarantined {
-		t.Fatal("supervisor yields counted toward flap damping")
+}
+
+// The down:<node> signal reads the breaker state.
+func TestEngineDownSignal(t *testing.T) {
+	f := newRerouteFixture(t)
+	act := &fakeAction{}
+	rs := []Rule{{
+		Name:   "r",
+		When:   Condition{Signal: "down:wifi", Op: OpEQ, Value: 1},
+		Action: act,
+	}}
+	e := newTestEngine(t, rs, Config{Monitor: f.mon})
+	now := time.Unix(0, 0)
+	f.trip(now)
+	e.Sweep(now)
+	if !e.Engaged("r") {
+		t.Fatal("did not engage on an open breaker")
+	}
+	now = now.Add(time.Millisecond)
+	f.heal(now)
+	e.Sweep(now)
+	now = now.Add(DefaultDisengageAfter)
+	e.Sweep(now)
+	if e.Engaged("r") {
+		t.Fatal("did not disengage once the breaker closed")
 	}
 }
 
@@ -644,6 +822,7 @@ func TestNewRejectsBadRules(t *testing.T) {
 		{"bad-op", Rule{Name: "r", When: Condition{Signal: "attr:x", Op: "~"}, Action: &fakeAction{}}, "unknown operator"},
 		{"bad-clear", Rule{Name: "r", When: Condition{Signal: "attr:x", Op: OpGT}, ClearWhen: &Condition{Signal: "nope", Op: OpLT}, Action: &fakeAction{}}, "clear_when"},
 		{"bad-guard", Rule{Name: "r", When: Condition{Signal: "attr:x", Op: OpGT}, Guard: &Guard{Condition: Condition{Signal: "nope", Op: OpGT}}, Action: &fakeAction{}}, "guard"},
+		{"reserved-name", Rule{Name: "reroute:wifi", When: Condition{Signal: "attr:x", Op: OpGT}, Action: &fakeAction{}}, "reserved"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := New(Config{Rules: []Rule{tc.rule}, Adapter: passAdapter}); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -656,6 +835,9 @@ func TestNewRejectsBadRules(t *testing.T) {
 	}
 	if _, err := New(Config{Rules: []Rule{{Name: "r", When: Condition{Signal: "attr:x", Op: OpGT}, Action: &fakeAction{}}}}); err == nil {
 		t.Fatal("New accepted rules without an adapter")
+	}
+	if _, err := New(Config{Reroutes: []health.Reroute{{Watch: "wifi"}}, Adapter: passAdapter}); err == nil {
+		t.Fatal("New accepted reroutes without a monitor")
 	}
 }
 

@@ -16,16 +16,19 @@
 //     re-engage until its cooldown expires; a rule that still manages
 //     more than MaxFlaps transitions inside FlapWindow is quarantined
 //     (reverted and barred from engaging) for QuarantineFor.
-//   - Conflict arbitration: supervisor degradation reroutes always win.
-//     A rule whose action touches an edge the health.Supervisor has (or
-//     wants) engaged is reverted/deferred until the supervisor lets go.
-//     Rules also declare conflict groups of their own: within a group
-//     at most one rule is engaged, lowest Priority first.
+//   - Conflict arbitration: one engine decides every adaptation edit.
+//     The supervision's degradation reroutes (health.Reroute) are
+//     compiled into rules that outrank every declared rule: a rule
+//     whose action touches an edge a reroute has engaged, or wants
+//     because its watch is down, is reverted or deferred until the
+//     reroute lets go. Within a conflict group at most one rule is
+//     engaged, lowest Priority first, and a switch between two rules
+//     of a group is one atomic edit.
 //   - Probation rollback: every engagement opens a probation window
 //     during which an optional guard signal is watched; if the guard
 //     trips, the edit is reverted and the rule quarantined.
 //
-// Evaluation piggybacks on the supervisor sweep (Supervisor.OnSweep),
+// Evaluation rides the supervisor sweep (Supervisor.OnSweep),
 // so cost is O(rules) per sweep and the per-sample tap does nothing but
 // a few attribute probes with zero allocations.
 package rules
@@ -76,6 +79,7 @@ const (
 //	restarts:<node>     restart count
 //	trips:<node>        breaker trips
 //	silence_ms:<node>   milliseconds since the node last emitted
+//	down:<node>         1 while the node's breaker is open, else 0
 //	availability        provider availability ordinal (0 = Available,
 //	                    1 = TemporarilyUnavailable, 2 = OutOfService)
 //
@@ -154,7 +158,7 @@ type Rule struct {
 	// before it may evaluate again. Zero means DefaultQuarantine.
 	QuarantineFor time.Duration
 	// Priority orders rules within a conflict Group: lower engages
-	// first, declaration order breaking ties (the supervisor's model).
+	// first, declaration order breaking ties (the reroutes' model).
 	Priority int
 	// Group names the conflict group; rules sharing a Group have at
 	// most one engaged at a time. Empty means the rule is its own
@@ -167,10 +171,21 @@ type Rule struct {
 	Guard *Guard
 }
 
+// reroutePrefix starts the name of every rule compiled from a
+// health.Reroute; declared rules may not use it.
+const reroutePrefix = "reroute:"
+
+// IsReroute reports whether a rule name (in an Event or RuleStatus)
+// belongs to a rule compiled from a health.Reroute.
+func IsReroute(name string) bool { return strings.HasPrefix(name, reroutePrefix) }
+
 // normalize fills zero knobs with defaults and validates the rule.
 func (r Rule) normalize(idx int) (Rule, error) {
 	if r.Name == "" {
 		return r, fmt.Errorf("rules: rule %d: missing name", idx)
+	}
+	if IsReroute(r.Name) {
+		return r, fmt.Errorf("rules: rule %q: the %q prefix is reserved for reroutes", r.Name, reroutePrefix)
 	}
 	if r.Action == nil {
 		return r, fmt.Errorf("rules: rule %q: missing action", r.Name)
@@ -230,6 +245,7 @@ const (
 	sigRestarts
 	sigTrips
 	sigSilenceMS
+	sigDown
 	sigAvailability
 )
 
@@ -269,6 +285,8 @@ func parseSignal(s string) (signalRef, string, error) {
 		return signalRef{kind: sigTrips, node: arg}, "", nil
 	case "silence_ms":
 		return signalRef{kind: sigSilenceMS, node: arg}, "", nil
+	case "down":
+		return signalRef{kind: sigDown, node: arg}, "", nil
 	}
 	return signalRef{}, "", fmt.Errorf("unknown signal %q", s)
 }

@@ -88,61 +88,67 @@ func treeSignature(t *testing.T, l *channel.Layer) string {
 func TestBatchedDeliveryMatchesStepByStep(t *testing.T) {
 	const steps = 256
 
-	mBatch, err := NewManager(loopConfig(t, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mBatch.Close()
-	mSingle, err := NewManager(loopConfig(t, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mSingle.Close()
+	// String payloads are what every shipped config runs; pooled
+	// payloads are the opt-in fast path. Both must batch transparently.
+	for _, pooled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
+			mBatch, err := NewManager(loopConfig(t, pooled))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mBatch.Close()
+			mSingle, err := NewManager(loopConfig(t, pooled))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mSingle.Close()
 
-	sBatch, err := mBatch.GetOrCreate("target-contract")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sSingle, err := mSingle.GetOrCreate("target-contract")
-	if err != nil {
-		t.Fatal(err)
-	}
+			sBatch, err := mBatch.GetOrCreate("target-contract")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sSingle, err := mSingle.GetOrCreate("target-contract")
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	gotBatch := collectPositions(sBatch)
-	gotSingle := collectPositions(sSingle)
+			gotBatch := collectPositions(sBatch)
+			gotSingle := collectPositions(sSingle)
 
-	for done := 0; done < steps; done += 32 {
-		if _, err := sBatch.StepN(32); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < steps; i++ {
-		if _, err := sSingle.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
+			for done := 0; done < steps; done += 32 {
+				if _, err := sBatch.StepN(32); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < steps; i++ {
+				if _, err := sSingle.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	if len(*gotBatch) == 0 {
-		t.Fatal("no positions delivered")
-	}
-	if len(*gotBatch) != len(*gotSingle) {
-		t.Fatalf("batched delivered %d positions, single-step %d",
-			len(*gotBatch), len(*gotSingle))
-	}
-	for i := range *gotBatch {
-		if (*gotBatch)[i] != (*gotSingle)[i] {
-			t.Fatalf("position %d differs:\nbatch:  %+v\nsingle: %+v",
-				i, (*gotBatch)[i], (*gotSingle)[i])
-		}
-	}
+			if len(*gotBatch) == 0 {
+				t.Fatal("no positions delivered")
+			}
+			if len(*gotBatch) != len(*gotSingle) {
+				t.Fatalf("batched delivered %d positions, single-step %d",
+					len(*gotBatch), len(*gotSingle))
+			}
+			for i := range *gotBatch {
+				if (*gotBatch)[i] != (*gotSingle)[i] {
+					t.Fatalf("position %d differs:\nbatch:  %+v\nsingle: %+v",
+						i, (*gotBatch)[i], (*gotSingle)[i])
+				}
+			}
 
-	sigBatch := treeSignature(t, sBatch.Layer())
-	sigSingle := treeSignature(t, sSingle.Layer())
-	if sigBatch != sigSingle {
-		t.Errorf("data trees diverge:\nbatch:\n%s\nsingle:\n%s", sigBatch, sigSingle)
-	}
-	if !strings.Contains(sigBatch, "gps.raw") {
-		t.Errorf("tree signature looks empty:\n%s", sigBatch)
+			sigBatch := treeSignature(t, sBatch.Layer())
+			sigSingle := treeSignature(t, sSingle.Layer())
+			if sigBatch != sigSingle {
+				t.Errorf("data trees diverge:\nbatch:\n%s\nsingle:\n%s", sigBatch, sigSingle)
+			}
+			if !strings.Contains(sigBatch, "gps.raw") {
+				t.Errorf("tree signature looks empty:\n%s", sigBatch)
+			}
+		})
 	}
 }
 

@@ -294,6 +294,12 @@ func benchSaturated(b *testing.B, n int) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// Warm up outside the timed region: the first batch fills the
+		// history rings and builds the first data trees, which would
+		// otherwise land in allocs/op in proportion to n/b.N.
+		if _, err := s.StepN(batch); err != nil {
+			b.Fatal(err)
+		}
 		slot := &counts[i*counterStride]
 		s.Provider().Subscribe(func(positioning.Position) { *slot++ })
 		sessions[i] = s
@@ -401,7 +407,7 @@ func BenchmarkDegradedFusionSession(b *testing.B) {
 		}
 		deadline := time.Now().Add(window)
 		for time.Now().Before(deadline) {
-			if s.Supervisor().Degraded() {
+			if s.Rules().Degraded() {
 				break
 			}
 			time.Sleep(time.Millisecond)

@@ -123,7 +123,7 @@ func TestChaosFusionDegradation(t *testing.T) {
 	wifiChaos.Kill(nil)
 	waitFor(t, 5*time.Second, "provider to degrade", func() bool {
 		return s.Provider().Availability() == positioning.TemporarilyUnavailable &&
-			s.Supervisor().Degraded()
+			s.Rules().Degraded()
 	})
 	if h, ok := s.Monitor().Health("wifi"); !ok || h.State != health.StateDown {
 		t.Fatalf("wifi health = %+v, want down", h)
@@ -142,7 +142,7 @@ func TestChaosFusionDegradation(t *testing.T) {
 	wifiChaos.Heal()
 	waitFor(t, 5*time.Second, "provider to recover", func() bool {
 		return s.Provider().Availability() == positioning.Available &&
-			!s.Supervisor().Degraded()
+			!s.Rules().Degraded()
 	})
 	if h, ok := s.Monitor().Health("wifi"); !ok || h.State != health.StateHealthy {
 		t.Fatalf("wifi health after heal = %+v, want healthy", h)

@@ -21,9 +21,9 @@ import (
 // Checkpoint captures the session's state and appends it durably,
 // returning the record's sequence number. Snapshots need a quiescent
 // graph, so an active async runner is paused around the capture and
-// restarted — the same pause the supervisor uses for graph edits; a
-// Step/Run-driven session just holds the run lock. Fails with
-// ErrNoCheckpoints when the manager has no store.
+// restarted — the same pause adaptation edits use; a Step/Run-driven
+// session just holds the run lock. Fails with ErrNoCheckpoints when the
+// manager has no store.
 func (s *Session) Checkpoint() (uint64, error) {
 	if s.store == nil {
 		return 0, ErrNoCheckpoints

@@ -345,8 +345,8 @@ func TestRulesGuardRollback(t *testing.T) {
 
 // TestChaosRulesSupervisorArbitration is the arbitration scenario the
 // CI chaos job runs under -race: a provider-swap rule and the
-// supervisor's degradation reroutes deliberately contend for the
-// particle-filter→app edge. The supervisor's reroute must always win
+// supervision's degradation reroutes deliberately contend for the
+// particle-filter→app edge. The reroute outranks the rule and must win
 // while the WiFi branch is down, and the rule must re-engage on its own
 // once the branch heals.
 func TestChaosRulesSupervisorArbitration(t *testing.T) {
@@ -400,13 +400,12 @@ func TestChaosRulesSupervisorArbitration(t *testing.T) {
 		return graphHasEdge(s.Graph(), swapped) && !graphHasEdge(s.Graph(), fused)
 	})
 
-	// Phase 3: the WiFi branch dies. The supervisor claims the same
-	// edge for its degradation reroute; the rule must yield — the
-	// supervisor always wins — and positions must keep flowing from the
-	// GPS branch.
+	// Phase 3: the WiFi branch dies. The degradation reroute claims the
+	// same edge; the rule must yield — reroutes outrank declared rules —
+	// and positions must keep flowing from the GPS branch.
 	wifiChaos.Kill(nil)
 	waitFor(t, 5*time.Second, "supervisor to win the edge", func() bool {
-		return s.Supervisor().Degraded() && !eng.Engaged("provider-swap")
+		return s.Rules().Degraded() && !eng.Engaged("provider-swap")
 	})
 	waitFor(t, 5*time.Second, "degradation route in place", func() bool {
 		return graphHasEdge(s.Graph(), core.Edge{From: "interpreter", To: "app", Port: 0})
@@ -420,7 +419,7 @@ func TestChaosRulesSupervisorArbitration(t *testing.T) {
 	// the rule — whose condition still holds — re-engages by itself.
 	wifiChaos.Heal()
 	waitFor(t, 10*time.Second, "rule to re-engage after heal", func() bool {
-		return !s.Supervisor().Degraded() && eng.Engaged("provider-swap")
+		return !s.Rules().Degraded() && eng.Engaged("provider-swap")
 	})
 	waitFor(t, time.Second, "swap edge back", func() bool {
 		return graphHasEdge(s.Graph(), swapped) && !graphHasEdge(s.Graph(), fused)

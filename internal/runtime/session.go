@@ -78,9 +78,11 @@ type SessionConfig struct {
 	// drives the provider's JSR-179 availability state. Nil disables
 	// supervision (no overhead).
 	Health *health.Policy
-	// Reroutes are the degradation rules the supervisor applies through
-	// the session's own PSL graph when a watched node trips its breaker
-	// (requires Health).
+	// Reroutes are the degradation rules applied through the session's
+	// own PSL graph when a watched node trips its breaker (requires
+	// Health or Rules). The session's rules engine compiles them into
+	// rules that outrank every declared rule, so a session with
+	// Reroutes always gets an engine.
 	Reroutes []health.Reroute
 	// Checkpoints enables durable session state: evict-time and manual
 	// checkpoints are appended to this store, and Manager.ResumeSession
@@ -144,7 +146,7 @@ type Session struct {
 	ckptEvery time.Duration
 
 	// runMu serialises propagation (Run/Step/async runner lifecycle)
-	// against supervisor-applied graph edits. Lock order: runMu → mu.
+	// against adaptation edits. Lock order: runMu → mu.
 	runMu      sync.Mutex
 	runCtx     context.Context
 	runnerOpts []core.RunnerOption
@@ -222,7 +224,7 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 			pol = *cfg.Health
 		}
 		s.monitor = health.NewMonitor(pol)
-		s.supervisor = health.NewSupervisor(s.monitor, health.AdapterFunc(s.applyEdit), cfg.Reroutes)
+		s.supervisor = health.NewSupervisor(s.monitor)
 		s.tapCancel = g.Tap(s.monitor.Tap)
 		// Supervisor events drive the provider's JSR-179 state: any open
 		// breaker makes the provider temporarily unavailable; all clear
@@ -260,12 +262,12 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 			})
 		}
 	}
-	if len(cfg.Rules) > 0 {
+	if s.supervisor != nil && len(cfg.Rules)+len(cfg.Reroutes) > 0 {
 		eng, err := rules.New(rules.Config{
-			Rules:   cfg.Rules,
-			Adapter: health.AdapterFunc(s.applyEdit),
-			Monitor: s.monitor,
-			Claimer: s.supervisor,
+			Rules:    cfg.Rules,
+			Reroutes: cfg.Reroutes,
+			Adapter:  health.AdapterFunc(s.applyEdit),
+			Monitor:  s.monitor,
 			Availability: func() float64 {
 				return float64(s.provider.Availability())
 			},
@@ -277,12 +279,15 @@ func newSession(id string, rev int, bp *core.Blueprint, cfg SessionConfig, clock
 		if eng.NeedsTap() {
 			s.rulesTapCancel = g.Tap(eng.Tap)
 		}
-		// Evaluation rides the supervisor sweep, after the supervisor
-		// has reconciled its own reroutes — rules see the claims of the
-		// same instant and always yield to them.
+		// Evaluation rides the supervisor sweep, after the breakers have
+		// advanced — rules see the breaker states of the same instant.
 		s.supervisor.OnSweep(eng.Sweep)
+		eng.OnReroute(s.supervisor.Rerouted)
 		if m := cfg.Observability; m != nil {
 			eng.OnEvent(func(ev rules.Event) {
+				if rules.IsReroute(ev.Rule) {
+					return // counted by the supervisor's OnReroute hook
+				}
 				switch ev.Type {
 				case rules.EventEngaged:
 					m.RulesEngaged.Inc()
@@ -358,8 +363,8 @@ func (s *Session) Monitor() *health.Monitor { return s.monitor }
 // disabled).
 func (s *Session) Supervisor() *health.Supervisor { return s.supervisor }
 
-// Rules returns the session's self-adaptation engine (nil when no
-// rules are configured).
+// Rules returns the session's adaptation engine, which applies the
+// reroutes and the declared rules (nil when neither is configured).
 func (s *Session) Rules() *rules.Engine { return s.rules }
 
 // pauseAndRun is the shared pause→edit→resume seam: the graph is
@@ -404,9 +409,9 @@ func (s *Session) pauseAndRun(fn func() error) error {
 	return err
 }
 
-// applyEdit is the supervisor's Adapter: pause, apply the edit, refresh
-// the channel layer, resume. Runs on the supervisor goroutine, never on
-// engine goroutines.
+// applyEdit is the rules engine's Adapter: pause, apply the edit,
+// refresh the channel layer, resume. Runs on the supervisor goroutine,
+// never on engine goroutines.
 func (s *Session) applyEdit(edit func(*core.Graph) error) error {
 	return s.pauseAndRun(func() error {
 		err := edit(s.graph)
@@ -453,7 +458,7 @@ func (s *Session) migrate(set *core.BlueprintSet, to int) error {
 
 // Run drives the session synchronously until its sources are exhausted
 // (or maxTicks), returning the number of source steps taken. Propagation
-// holds the run lock, so supervisor edits never interleave a tick.
+// holds the run lock, so adaptation edits never interleave a tick.
 func (s *Session) Run(maxTicks int) (int, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
