@@ -126,17 +126,7 @@ func (c *Channel) NodeIDs() []string {
 // Features, and previously attached Channel Features.
 func (c *Channel) AttachFeature(f Feature) error {
 	c.mu.Lock()
-	err := c.attachFeatureLocked(f)
-	c.mu.Unlock()
-	if err == nil && c.layer != nil {
-		// Attached features make the channel an eager tree consumer,
-		// which the layer's batch path must route synchronously.
-		c.layer.recomputeEager()
-	}
-	return err
-}
-
-func (c *Channel) attachFeatureLocked(f Feature) error {
+	defer c.mu.Unlock()
 	for _, existing := range c.features {
 		if existing.FeatureName() == f.FeatureName() {
 			return fmt.Errorf("%w: %q on %q", ErrFeatureExists, f.FeatureName(), c.id)
@@ -196,15 +186,7 @@ func (c *Channel) checkRequirements(req Requirements) error {
 // DetachFeature removes the named Channel Feature.
 func (c *Channel) DetachFeature(name string) error {
 	c.mu.Lock()
-	err := c.detachFeatureLocked(name)
-	c.mu.Unlock()
-	if err == nil && c.layer != nil {
-		c.layer.recomputeEager()
-	}
-	return err
-}
-
-func (c *Channel) detachFeatureLocked(name string) error {
+	defer c.mu.Unlock()
 	for i, f := range c.features {
 		if f.FeatureName() == name {
 			// Copy-on-write: deliver iterates a lock-free snapshot of

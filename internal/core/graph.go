@@ -45,17 +45,6 @@ type Graph struct {
 	// lock plus a map iteration.
 	tapList atomic.Pointer[[]TapFunc]
 
-	// Batch-capable observers (see burst.go), guarded by tapMu like
-	// taps; batchList mirrors tapList. burst is non-nil while a
-	// synchronous driver has a Burst open.
-	batchTaps map[int]BatchTap
-	batchID   int
-	batchList atomic.Pointer[[]BatchTap]
-	burst     atomic.Pointer[Burst]
-	// burstFree caches the last ended Burst (and its events buffer) for
-	// reuse by the next BeginBurst.
-	burstFree atomic.Pointer[Burst]
-
 	errMu sync.Mutex
 	// errPending mirrors "errs or errDropped non-empty" so the per-step
 	// drain check is a single atomic load when nothing failed.
@@ -80,9 +69,8 @@ func (g *Graph) setAsync(d asyncDeliver) {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		nodes:     make(map[string]*Node),
-		taps:      make(map[int]TapFunc),
-		batchTaps: make(map[int]BatchTap),
+		nodes: make(map[string]*Node),
+		taps:  make(map[int]TapFunc),
 	}
 }
 
@@ -374,7 +362,8 @@ func (g *Graph) InsertBetween(c Component, fromID, toID string, toPort, cInPort 
 }
 
 // Tap registers an observer for every emission in the graph and returns
-// a cancel function.
+// a cancel function. Each emission reaches every tap once, synchronously
+// on the emitting goroutine, in registration order.
 func (g *Graph) Tap(fn TapFunc) (cancel func()) {
 	g.tapMu.Lock()
 	defer g.tapMu.Unlock()
@@ -407,15 +396,6 @@ func (g *Graph) rebuildTapListLocked() {
 }
 
 func (g *Graph) notifyTaps(componentID string, s Sample) {
-	// Batch observers first (buffered while a burst is open), then
-	// plain taps, which always fire per emission.
-	if b := g.burst.Load(); b != nil {
-		b.add(componentID, s)
-	} else if blst := g.batchList.Load(); blst != nil {
-		for _, bt := range *blst {
-			bt.Tap(componentID, s)
-		}
-	}
 	lst := g.tapList.Load()
 	if lst == nil {
 		return

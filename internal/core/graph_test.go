@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -453,6 +454,36 @@ func TestUpstreamDownstream(t *testing.T) {
 	down := mid.Downstream()
 	if len(down) != 1 || down[0].ID() != "app" {
 		t.Errorf("Downstream = %v", ids(down))
+	}
+}
+
+// TestTapsFireInRegistrationOrder: every tap sees each emission once,
+// in the order the taps were registered, and a cancelled tap drops out
+// without reordering the rest.
+func TestTapsFireInRegistrationOrder(t *testing.T) {
+	g, _ := buildLinear(t, 2)
+	var order []string
+	tap := func(name string) TapFunc {
+		return func(id string, _ Sample) { order = append(order, name+":"+id) }
+	}
+	g.Tap(tap("a"))
+	cancelB := g.Tap(tap("b"))
+	g.Tap(tap("c"))
+	if err := g.Inject("src", NewSample(kindRaw, 1, time.Time{})); err != nil {
+		t.Fatal(err)
+	}
+	want := "a:src b:src c:src a:mid b:mid c:mid"
+	if got := strings.Join(order, " "); got != want {
+		t.Errorf("tap order = %q, want %q", got, want)
+	}
+	cancelB()
+	order = nil
+	if err := g.Inject("src", NewSample(kindRaw, 2, time.Time{})); err != nil {
+		t.Fatal(err)
+	}
+	want = "a:src c:src a:mid c:mid"
+	if got := strings.Join(order, " "); got != want {
+		t.Errorf("tap order after cancel = %q, want %q", got, want)
 	}
 }
 

@@ -81,15 +81,16 @@ func treeSignature(t *testing.T, l *channel.Layer) string {
 	return sb.String()
 }
 
-// TestBatchedDeliveryMatchesStepByStep is the batching contract: the
-// same session driven through StepN (bursted tap delivery) and through
-// single Steps (per-emission delivery) must produce identical position
-// streams and identical end-state data trees.
+// TestBatchedDeliveryMatchesStepByStep is the StepN contract: the same
+// session driven through StepN (many steps under one run-lock hold) and
+// through single Steps must produce identical position streams and
+// identical end-state data trees.
 func TestBatchedDeliveryMatchesStepByStep(t *testing.T) {
 	const steps = 256
 
 	// String payloads are what every shipped config runs; pooled
-	// payloads are the opt-in fast path. Both must batch transparently.
+	// payloads are the opt-in fast path. Both must step in batches
+	// transparently.
 	for _, pooled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
 			mBatch, err := NewManager(loopConfig(t, pooled))
@@ -210,10 +211,9 @@ type countingFeature struct{ seen int }
 func (f *countingFeature) FeatureName() string          { return "count-trees" }
 func (f *countingFeature) Apply(tree *channel.DataTree) { f.seen++ }
 
-// TestBatchedDeliveryWithEagerFeature checks the NeedsSync escape: a
-// channel feature makes the layer eager, so bursted StepN must still
-// deliver every tree synchronously and the feature must see the same
-// stream as under single-stepping.
+// TestBatchedDeliveryWithEagerFeature: a channel feature makes the layer
+// build a tree at every delivery, and under StepN the feature must see
+// every tree, the same stream as under single-stepping.
 func TestBatchedDeliveryWithEagerFeature(t *testing.T) {
 	run := func(batch bool) (int, []positioning.Position) {
 		m, err := NewManager(loopConfig(t, true))

@@ -233,11 +233,11 @@ func BenchmarkRuntimeSaturated(b *testing.B) {
 // saturatedSessionConfig is gpsSessionConfig with an endless (looping)
 // receiver and no acquisition delay, so flat-out drivers never run the
 // source dry and every epoch emits a full sentence group.
-func saturatedSessionConfig(b *testing.B) SessionConfig {
-	b.Helper()
+func saturatedSessionConfig(tb testing.TB) SessionConfig {
+	tb.Helper()
 	bp, err := catalog.GPSBlueprint()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return SessionConfig{
 		Blueprint: bp,

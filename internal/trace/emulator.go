@@ -38,7 +38,9 @@ func NewRecorder(g *core.Graph, componentID string, w io.Writer) *Recorder {
 		if id != componentID || s.FromFeature != "" {
 			return
 		}
-		payload, err := json.Marshal(s.Payload)
+		// Pooled payloads (e.g. *nmea.Raw) have no JSON form of their
+		// own; record the detached value a replay decoder can read back.
+		payload, err := json.Marshal(core.DetachPayload(s.Payload))
 		if err != nil {
 			r.fail(fmt.Errorf("record %s payload: %w", s.Kind, err))
 			return
